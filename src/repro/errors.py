@@ -14,6 +14,19 @@ class GraphFormatError(ReproError):
     """A graph container was built from inconsistent arrays."""
 
 
+class SourceRangeError(ReproError, ValueError):
+    """A query source lies outside the graph's node set ``[0, n_nodes)``.
+
+    Raised by the serving and streaming front ends before any state
+    changes.  Also a ``ValueError``, like every other argument check.
+    """
+
+    def __init__(self, source: int, n_nodes: int) -> None:
+        super().__init__(f"source {source} out of range [0, {n_nodes})")
+        self.source = source
+        self.n_nodes = n_nodes
+
+
 class PartitionError(ReproError):
     """Graph partitioning failed or produced an invalid assignment."""
 

@@ -87,12 +87,13 @@ class IncrementalState:
         Must be called with the *pre-batch* state of ``dyn`` for every
         vertex the batch will change.  A vertex already captured since
         the last refresh keeps its original pre-row, so a sequence of
-        batches folds into one net row diff at refresh time.
+        batches folds into one net row diff at refresh time.  Rows are
+        copied: a view would pin the whole mirror version it came from.
         """
         for v in sorted(int(v) for v in vertices):
             if v not in self.pre_rows:
                 gids, wts = dyn.row(v)
-                self.pre_rows[v] = (gids, wts, dyn.wdeg(v))
+                self.pre_rows[v] = (gids.copy(), wts.copy(), dyn.wdeg(v))
 
 
 def _normalized_row(gids: np.ndarray, wts: np.ndarray, wdeg: float,
@@ -122,22 +123,7 @@ def refresh(state: IncrementalState, dyn, *,
     if max_pushes is None:
         max_pushes = int(min(5e8, 500 * n / eps))
 
-    # Per-refresh memo of current rows/degrees: the graph is frozen for
-    # the duration of the refresh, and the signed push revisits rows.
-    rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    wdegs: dict[int, float] = {}
-
-    def row_of(v: int) -> tuple[np.ndarray, np.ndarray]:
-        got = rows.get(v)
-        if got is None:
-            got = rows[v] = dyn.row(v)
-        return got
-
-    def wdeg_of(v: int) -> float:
-        got = wdegs.get(v)
-        if got is None:
-            got = wdegs[v] = dyn.wdeg(v)
-        return got
+    wdegs = dyn.wdegs
 
     # -- phase 1: residual corrections -------------------------------------
     n_corrections = 0
@@ -148,8 +134,8 @@ def refresh(state: IncrementalState, dyn, *,
         if p_u == 0.0:
             continue
         pre_gids, pre_wts, pre_wdeg = state.pre_rows[u]
-        cur_gids, cur_wts = row_of(u)
-        cur_wdeg = wdeg_of(u)
+        cur_gids, cur_wts = dyn.row(u)
+        cur_wdeg = dyn.wdeg(u)
         if (cur_wdeg == pre_wdeg and np.array_equal(cur_gids, pre_gids)
                 and np.array_equal(cur_wts, pre_wts)):
             continue  # net no-op row: contributes exactly nothing
@@ -168,19 +154,23 @@ def refresh(state: IncrementalState, dyn, *,
     # -- phase 2: signed forward push back under the threshold --------------
     queue: deque[int] = deque()
     queued = np.zeros(n, dtype=bool)
-    for v in sorted(seeds):
-        d_v = wdeg_of(v)
-        r_v = r[v]
-        if (d_v > 0.0 and abs(r_v) > eps * d_v) or \
-                (d_v <= 0.0 and r_v != 0.0):
-            queue.append(v)
-            queued[v] = True
+
+    def enqueue(cand: np.ndarray) -> None:
+        """Queue, in order, the unqueued ``cand`` over the threshold."""
+        r_c, d_c = r[cand], wdegs[cand]
+        over = ~queued[cand] & (((d_c > 0.0) & (np.abs(r_c) > eps * d_c))
+                                | ((d_c <= 0.0) & (r_c != 0.0)))
+        hit = cand[over]
+        queue.extend(hit.tolist())
+        queued[hit] = True
+
+    enqueue(np.array(sorted(seeds), dtype=np.int64))
     n_pushes = 0
     while queue:
         v = queue.popleft()
         queued[v] = False
         r_v = r[v]
-        d_v = wdeg_of(v)
+        d_v = float(wdegs[v])
         if d_v > 0.0 and abs(r_v) <= eps * d_v:
             continue
         if r_v == 0.0:
@@ -198,18 +188,9 @@ def refresh(state: IncrementalState, dyn, *,
         p[v] += alpha * r_v
         m = (1.0 - alpha) * r_v
         r[v] = 0.0
-        gids, wts = row_of(v)
+        gids, wts = dyn.row(v)
         r[gids] += wts * (m / d_v)
-        for g in gids:
-            g = int(g)
-            if queued[g]:
-                continue
-            d_g = wdeg_of(g)
-            r_g = r[g]
-            if (d_g > 0.0 and abs(r_g) > eps * d_g) or \
-                    (d_g <= 0.0 and r_g != 0.0):
-                queue.append(g)
-                queued[g] = True
+        enqueue(gids)  # sorted unique ids: same order as one-by-one
 
     return RefreshStats(n_changed=n_changed, n_corrections=n_corrections,
                         n_pushes=n_pushes,

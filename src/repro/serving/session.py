@@ -67,6 +67,7 @@ from repro.serving.tenancy import (
 from repro.simt.faults import FaultPlan
 from repro.storage.dist_storage import DistGraphStorage
 from repro.storage.fetch import FetchCache, NeighborFetchService
+from repro.utils.validation import check_sources
 from repro.walk.random_walk import distributed_random_walk
 
 #: query kinds a session can serve
@@ -78,7 +79,11 @@ SESSION_RUNTIMES = ("sim", "threads")
 
 @dataclass(frozen=True)
 class Query:
-    """One tenant-visible query: an SSPPR vector or a random walk."""
+    """One tenant-visible query: an SSPPR vector or a random walk.
+
+    The source is range-checked against the graph by
+    :meth:`Session.submit`, which knows the node count.
+    """
 
     source: int
     kind: str = "sppr"
@@ -89,8 +94,6 @@ class Query:
             raise ValueError(
                 f"kind must be one of {QUERY_KINDS}, got {self.kind!r}"
             )
-        if self.source < 0:
-            raise ValueError(f"source must be >= 0, got {self.source}")
         if self.kind == "walk" and self.walk_length <= 0:
             raise ValueError(
                 f"walk_length must be > 0, got {self.walk_length}"
@@ -316,6 +319,7 @@ class Session:
             raise TypeError(
                 f"submit takes a Query, got {type(query).__name__}"
             )
+        check_sources([query.source], self.engine.graph.n_nodes)
         handle = QueryHandle(query, tenant, self._seq, self.now)
         self._seq += 1
         decision = self.admission.offer(handle.seq, tenant, handle)

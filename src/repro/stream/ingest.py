@@ -45,7 +45,6 @@ from repro.storage.shard_update import ShardUpdate
 TRANSPORT_ERRORS = (RpcTimeoutError, WorkerCrashedError)
 
 _EMPTY_I = np.empty(0, dtype=np.int64)
-_EMPTY_F = np.empty(0, dtype=np.float64)
 
 
 @dataclass
@@ -67,64 +66,63 @@ class IngestReport:
 
 # -- payload planning -------------------------------------------------------
 
+def _segments(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Positions of the segments ``[starts[i], starts[i] + counts[i])``,
+    concatenated in order."""
+    total = int(counts.sum())
+    if not total:
+        return _EMPTY_I
+    first = np.cumsum(counts) - counts
+    return np.repeat(starts - first, counts) + np.arange(total)
+
+
 def build_shard_payloads(sharded, dyn, changed) -> list[ShardUpdate]:
     """One :class:`ShardUpdate` per shard for the given changed vertices.
 
     ``dyn`` must already hold the *post*-batch adjacency.  Row targets
     carry owner addressing from ``sharded`` (ownership never changes
     during ingestion — only rebalancing moves vertices) and the targets'
-    new weighted degrees, so shards apply rows without lookups.
+    new weighted degrees, so shards apply rows without lookups.  The
+    changed rows are gathered from the mirror's arrays once, addressed
+    with one ``address_of`` call, and every block below is a segment
+    gather from that concatenation.
     """
     k = sharded.n_shards
     changed = np.asarray(changed, dtype=np.int64)
-    deg_wdeg = np.array([dyn.wdeg(int(v)) for v in changed],
-                        dtype=np.float64)
-    rows = {}
-    for v in changed.tolist():
-        gids, wts = dyn.row(v)
-        loc, shd = sharded.address_of(gids)
-        t_wdeg = np.array([dyn.wdeg(int(g)) for g in gids],
-                          dtype=np.float64)
-        rows[v] = (gids, wts, loc, shd, t_wdeg)
+    wdegs = dyn.wdegs
+    deg_wdeg = wdegs[changed]
+    counts = dyn.indptr[changed + 1] - dyn.indptr[changed]
+    arcs = _segments(dyn.indptr[changed], counts)
+    cat_global = dyn.indices[arcs]
+    cat = {"global": cat_global, "weight": dyn.weights[arcs],
+           "wdeg": wdegs[cat_global]}
+    cat["local"], cat["shard"] = sharded.address_of(cat_global)
+    first = np.cumsum(counts) - counts
+
+    def block(sel: np.ndarray) -> tuple[np.ndarray, dict]:
+        """``indptr`` and concatenated columns of ``changed[sel]``'s rows."""
+        indptr = np.zeros(len(sel) + 1, dtype=np.int64)
+        np.cumsum(counts[sel], out=indptr[1:])
+        pos = _segments(first[sel], counts[sel])
+        return indptr, {name: col[pos] for name, col in cat.items()}
 
     # Halo refresh block: every changed vertex's full row, keyed and
     # sorted by packed owner address — identical for all shards.
     halo_keys = sharded.keys_of(changed) if len(changed) else _EMPTY_I
     order = np.argsort(halo_keys)
-    h_vertices = changed[order]
-    halo_keys = halo_keys[order]
-    halo_src_wdeg = deg_wdeg[order]
-    h_counts = np.array([rows[int(v)][0].shape[0] for v in h_vertices],
-                        dtype=np.int64)
-    halo_indptr = np.zeros(len(h_vertices) + 1, dtype=np.int64)
-    np.cumsum(h_counts, out=halo_indptr[1:])
-    halo = {name: (np.concatenate([rows[int(v)][i] for v in h_vertices])
-                   if len(h_vertices) else empty)
-            for i, (name, empty) in enumerate((
-                ("global", _EMPTY_I), ("weight", _EMPTY_F),
-                ("local", _EMPTY_I), ("shard", _EMPTY_I),
-                ("wdeg", _EMPTY_F)))}
+    halo_keys, halo_src_wdeg = halo_keys[order], deg_wdeg[order]
+    halo_indptr, halo = block(order)
 
     payloads = []
+    owner = sharded.owner_shard[changed]
     for p in range(k):
-        owned = changed[sharded.owner_shard[changed] == p] \
-            if len(changed) else changed
-        lids = sharded.owner_local[owned] if len(owned) else _EMPTY_I
-        counts = np.array([rows[int(v)][0].shape[0] for v in owned],
-                          dtype=np.int64)
-        indptr = np.zeros(len(owned) + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-
-        def _cat(i, empty):
-            if not len(owned):
-                return empty
-            return np.concatenate([rows[int(v)][i] for v in owned])
-
+        sel = np.flatnonzero(owner == p)
+        indptr, rows = block(sel)
         payloads.append(ShardUpdate(
-            row_lids=lids, row_indptr=indptr,
-            row_local=_cat(2, _EMPTY_I), row_shard=_cat(3, _EMPTY_I),
-            row_global=_cat(0, _EMPTY_I), row_weight=_cat(1, _EMPTY_F),
-            row_wdeg=_cat(4, _EMPTY_F),
+            row_lids=sharded.owner_local[changed[sel]], row_indptr=indptr,
+            row_local=rows["local"], row_shard=rows["shard"],
+            row_global=rows["global"], row_weight=rows["weight"],
+            row_wdeg=rows["wdeg"],
             deg_gids=changed, deg_wdeg=deg_wdeg,
             halo_keys=halo_keys, halo_src_wdeg=halo_src_wdeg,
             halo_indptr=halo_indptr, halo_local=halo["local"],

@@ -44,6 +44,7 @@ from repro.stream.ingest import IngestReport, build_shard_payloads, \
 from repro.stream.rebalance import RebalancePolicy, RebalanceReport, \
     execute_rebalance, plan_rebalance
 from repro.stream.updates import UpdateBatch
+from repro.utils.validation import check_sources
 
 
 @dataclass(frozen=True)
@@ -203,6 +204,7 @@ class StreamingSession:
         cfg = self.config
         params = cfg.params if cfg.params is not None else PPRParams()
         sources = np.asarray(sources, dtype=np.int64)
+        check_sources(sources, self.engine.graph.n_nodes)
         result = self.serving.run(RunRequest(
             sources=sources, params=params, mode="batched",
             keep_states=True, fault_plan=cfg.fault_plan,
@@ -311,9 +313,11 @@ class StreamingSession:
     # -- queries ------------------------------------------------------------
     def submit(self, source: int, *, tenant: str = "default"):
         """Admit one SSPPR query at the current serving clock."""
+        handle = self.serving.submit(Query(source=int(source)),
+                                     tenant=tenant)
         self.report.n_queries += 1
         self.metrics.inc("stream.queries")
-        return self.serving.submit(Query(source=int(source)), tenant=tenant)
+        return handle
 
     def drain(self):
         """Execute pending admitted queries; harvest their fetch heat."""

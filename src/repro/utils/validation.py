@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.errors import SourceRangeError
+
 
 def check_positive(name: str, value: float) -> None:
     """Raise ``ValueError`` unless ``value > 0``."""
@@ -38,6 +40,15 @@ def check_same_length(**arrays) -> None:
     lengths = {name: len(arr) for name, arr in arrays.items()}
     if len(set(lengths.values())) > 1:
         raise ValueError(f"length mismatch: {lengths}")
+
+
+def check_sources(sources, n_nodes: int) -> None:
+    """Raise :class:`SourceRangeError` for the first source outside
+    ``[0, n_nodes)``."""
+    sources = np.asarray(sources)
+    bad = (sources < 0) | (sources >= n_nodes)
+    if bad.any():
+        raise SourceRangeError(int(sources[np.argmax(bad)]), int(n_nodes))
 
 
 def check_dtype(name: str, array: np.ndarray, kind: str) -> None:

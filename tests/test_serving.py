@@ -24,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import EngineConfig, GraphEngine, RunRequest
+from repro.errors import SourceRangeError
 from repro.graph import powerlaw_cluster
 from repro.rpc import RetryPolicy
 from repro.serving import (
@@ -244,6 +245,19 @@ class TestSessionApi:
         session = engine.open_session()
         run = session.drain()
         assert run.n_queries == 0 and run.admitted == 0
+
+    @pytest.mark.parametrize("kind", ["sppr", "walk"])
+    @pytest.mark.parametrize("offset", [5, -405])
+    def test_out_of_range_source_is_typed(self, engine, kind, offset):
+        n = engine.graph.n_nodes
+        source = n + offset
+        session = engine.open_session()
+        with pytest.raises(SourceRangeError,
+                           match=rf"source {source} .*\[0, {n}\)"):
+            session.submit(Query(source=source, kind=kind))
+        assert session.decisions == [] and session.admission.depth == 0
+        assert session.snapshot().get("serve.submitted", 0) == 0
+        assert session.submit(Query(source=0, kind=kind)).seq == 0
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="mode"):
